@@ -10,8 +10,8 @@
      native.kernel_calls   entry-point invocations
      native.fallbacks      Auto-mode falls back to the interpreter
 
-   Compiled kernels are cached on disk keyed by plan digest + compiler
-   identity + flags + emitter version.  Installs go through
+   Compiled kernels are cached on disk keyed by a digest of the emitted
+   source + compiler identity + flags + emitter version.  Installs go through
    Snapshot.atomic_write_string (temp + fsync + rename), and every
    cached .so carries a CRC-32 sidecar that is re-verified before
    dlopen — concurrent solves never observe a torn shared object, and a
@@ -205,14 +205,40 @@ let entry_source (plan : Plan.t) =
 (* ------------------------------------------------------------------ *)
 (* Disk cache                                                           *)
 
-let cache_key (plan : Plan.t) ~compiler =
+(* The cache identity is the emitted entry source itself, not
+   [Plan.digest]: the plan summary omits stencil coefficients, so two
+   plans differing only in weights share a plan digest while compiling
+   to different C.  The source digest is memoized per plan; the source
+   text is handed back only when it was just emitted, so a cold compile
+   emits once. *)
+let source_digests : (int, string) Hashtbl.t = Hashtbl.create 8
+let source_digests_lock = Mutex.create ()
+
+let source_digest (plan : Plan.t) =
+  match
+    Mutex.protect source_digests_lock (fun () ->
+        Hashtbl.find_opt source_digests plan.Plan.uid)
+  with
+  | Some d -> Ok (d, None)
+  | None ->
+    (match entry_source plan with
+     | Error e -> Error e
+     | Ok source ->
+       let d = Digest.to_hex (Digest.string source) in
+       Mutex.protect source_digests_lock (fun () ->
+           Hashtbl.replace source_digests plan.Plan.uid d);
+       Ok (d, Some source))
+
+let key_of_digest digest ~compiler =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
-          [ emitter_version;
-            Plan.digest plan;
-            cc_identity compiler;
-            cflags ]))
+          [ emitter_version; digest; cc_identity compiler; cflags ]))
+
+let cache_key (plan : Plan.t) ~compiler =
+  match source_digest plan with
+  | Ok (d, _) -> key_of_digest d ~compiler
+  | Error e -> invalid_arg ("Native.cache_key: plan not emittable: " ^ e)
 
 let meta_line ~crc ~size = Printf.sprintf "%s %08x %d\n" meta_schema crc size
 
@@ -231,8 +257,10 @@ let truncate_log s =
   let s = String.trim s in
   if String.length s <= 400 then s else String.sub s 0 400 ^ "..."
 
-let compile_so plan ~compiler ~key =
-  match entry_source plan with
+let compile_so plan ~compiler ~key ~source =
+  match
+    match source with Some s -> Ok s | None -> entry_source plan
+  with
   | Error e -> Error ("plan not emittable: " ^ e)
   | Ok source ->
     let dir = cache_dir () in
@@ -359,11 +387,11 @@ let load (plan : Plan.t) =
   match cc () with
   | None -> Error "no C compiler found (tried gcc, cc)"
   | Some compiler ->
-    (match C_emit.runnable plan with
+    (match source_digest plan with
      | Error e -> Error ("plan not emittable: " ^ e)
-     | Ok () ->
+     | Ok (digest, source) ->
        Mutex.protect loaded_lock (fun () ->
-           let key = cache_key plan ~compiler in
+           let key = key_of_digest digest ~compiler in
            match Hashtbl.find_opt loaded key with
            | Some k ->
              Telemetry.add c_cache_hits 1;
@@ -376,7 +404,7 @@ let load (plan : Plan.t) =
                 Hashtbl.replace loaded key k;
                 Ok k
               | None ->
-                (match compile_so plan ~compiler ~key with
+                (match compile_so plan ~compiler ~key ~source with
                  | Error e -> Error e
                  | Ok path ->
                    (match dlopen_kernel plan ~key ~path with

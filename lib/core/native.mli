@@ -7,8 +7,9 @@
     compiler to build a shared object, [dlopen]s it and calls the entry
     point directly on the grids' Bigarray storage.
 
-    Compiled kernels are cached on disk under {!cache_dir}, keyed by
-    plan digest + compiler identity + flags + emitter version
+    Compiled kernels are cached on disk under {!cache_dir}, keyed by a
+    digest of the emitted source + compiler identity + flags + emitter
+    version
     ([<key>.c], [<key>.so], [<key>.meta], [<key>.log]).  The [.so] is
     installed with {!Repro_runtime.Snapshot.atomic_write_string} and
     carries a CRC-32 sidecar re-verified before every [dlopen]: a torn
@@ -60,8 +61,11 @@ val entry_source : Plan.t -> (string, string) result
     when {!C_emit.runnable} fails. *)
 
 val cache_key : Plan.t -> compiler:string -> string
-(** Content key of a plan's compiled kernel (hex digest over plan
-    digest, compiler identity, flags, emitter version). *)
+(** Content key of a plan's compiled kernel: hex digest over a digest
+    of {!entry_source} (memoized per plan), compiler identity, flags and
+    emitter version.  Not {!Plan.digest}, which omits stencil
+    coefficients.
+    @raise Invalid_argument when the plan is not emittable. *)
 
 val load : Plan.t -> (kernel, string) result
 (** Loads (compiling on a cache miss) the kernel for a plan.  Kernels

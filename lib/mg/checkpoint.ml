@@ -131,8 +131,7 @@ let prune config ~newest =
 let save config st =
   ensure_dir config.dir;
   let path = gen_path ~dir:config.dir st.cycle in
-  Snapshot.write ~path ~meta:(meta_of_state st)
-    ~payloads:[ Snapshot.payload_of_buf st.v.Grid.buf ];
+  Snapshot.write_grid ~path ~meta:(meta_of_state st) st.v.Grid.buf;
   Telemetry.add c_writes 1;
   if Flightrec.on () then
     Flightrec.emit
@@ -265,6 +264,9 @@ let sink config ~dims ~n ~variant ~plan_digest ?(seed = 0)
   let every = max 1 config.every in
   let last : state option ref = ref None in
   let last_saved = ref min_int in
+  (* off-cadence copy of the accepted iterate: allocated on first use,
+     overwritten in place afterwards *)
+  let own : Grid.t option ref = ref None in
   let state_of ~cycle ~residual ~v ~stats =
     { cycle;
       residual;
@@ -288,10 +290,27 @@ let sink config ~dims ~n ~variant ~plan_digest ?(seed = 0)
           last := Some st;
           ignore (save_state st)
         end
-        else
+        else begin
           (* off-cadence: the solve loop ping-pongs [v], so a deferred
-             flush must snapshot its own copy, not the live buffer *)
-          last := Some (state_of ~cycle ~residual ~v:(Grid.copy v) ~stats));
+             flush must persist the sink's own copy, not the live
+             buffer.  While that copy is rewritten, [last] points at the
+             caller's [v], which stays settled until this hook returns,
+             so a flush from a signal handler never sees a half-copied
+             grid or a grid from another cycle. *)
+          let st = state_of ~cycle ~residual ~v ~stats in
+          last := Some st;
+          let copy =
+            match !own with
+            | Some g ->
+              Grid.blit ~src:v ~dst:g;
+              g
+            | None ->
+              let g = Grid.copy v in
+              own := Some g;
+              g
+          in
+          last := Some { st with v = copy }
+        end);
     flush =
       (fun () ->
         match !last with

@@ -8,23 +8,63 @@ let c_read_rejected = Telemetry.counter "snapshot.read_rejected"
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE / zlib polynomial, reflected) *)
 
-let crc_table =
+(* Slicing-by-8: table k maps a byte to its CRC contribution after k
+   further zero bytes, so the main loop folds eight input bytes per step
+   with eight independent lookups.  Table 0 is the classic bytewise
+   table, used for the tail. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- t.(prev land 0xFF) lxor (prev lsr 8)
+       done
+     done;
+     t)
+
+(* CRC of [len] bytes of [b] from [pos], continuing [crc] *)
+let crc_range crc b pos len =
+  let t = Lazy.force crc_tables in
+  let tab i = Array.unsafe_get t i in
+  let byte i = Char.code (Bytes.unsafe_get b i) in
+  let stop = pos + len in
+  let c = ref ((crc lxor 0xFFFFFFFF) land 0xFFFFFFFF) in
+  let i = ref pos in
+  while !i + 8 <= stop do
+    let p = !i in
+    let lo =
+      !c
+      lxor (byte p
+           lor (byte (p + 1) lsl 8)
+           lor (byte (p + 2) lsl 16)
+           lor (byte (p + 3) lsl 24))
+    in
+    c :=
+      tab ((7 * 256) + (lo land 0xFF))
+      lxor tab ((6 * 256) + ((lo lsr 8) land 0xFF))
+      lxor tab ((5 * 256) + ((lo lsr 16) land 0xFF))
+      lxor tab ((4 * 256) + (lo lsr 24))
+      lxor tab ((3 * 256) + byte (p + 4))
+      lxor tab ((2 * 256) + byte (p + 5))
+      lxor tab (256 + byte (p + 6))
+      lxor tab (byte (p + 7));
+    i := p + 8
+  done;
+  for p = !i to stop - 1 do
+    c := tab ((!c lxor byte p) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
 
 let crc32 ?(crc = 0) s =
-  let table = Lazy.force crc_table in
-  let c = ref (crc lxor 0xFFFFFFFF) in
-  String.iter
-    (fun ch ->
-      c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+  crc_range crc (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Crash injection *)
@@ -108,30 +148,61 @@ let schema = "polymg.snapshot/1"
 let magic = schema ^ "\n"
 let end_marker = "POLYMG-END"
 
-let add_u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr (v land 0xFF))
+(* The file is assembled in one buffer of its exact final size:
+   magic, then one [u32 length | bytes | u32 CRC] frame per section.  A
+   section is its byte length and a writer that fills it in place, so
+   a grid is encoded straight into the image. *)
+let set_u32 b pos v =
+  Bytes.unsafe_set b pos (Char.unsafe_chr ((v lsr 24) land 0xFF));
+  Bytes.unsafe_set b (pos + 1) (Char.unsafe_chr ((v lsr 16) land 0xFF));
+  Bytes.unsafe_set b (pos + 2) (Char.unsafe_chr ((v lsr 8) land 0xFF));
+  Bytes.unsafe_set b (pos + 3) (Char.unsafe_chr (v land 0xFF))
 
-let add_frame b payload =
-  add_u32 b (String.length payload);
-  Buffer.add_string b payload;
-  add_u32 b (crc32 payload)
+let string_section s =
+  (String.length s, fun b pos -> Bytes.blit_string s 0 b pos (String.length s))
 
-let write ~path ~meta ~payloads =
+(* bit-exact little-endian IEEE-754; element reads go straight to the
+   bigarray, since a call through [Buf] would box every float *)
+let encode_floats buf b pos =
+  let data = buf.Buf.data in
+  for i = 0 to Buf.len buf - 1 do
+    Bytes.set_int64_le b (pos + (8 * i))
+      (Int64.bits_of_float (Bigarray.Array1.unsafe_get data i))
+  done
+
+let write_sections ~path ~meta sections =
   let header =
     Json.Obj
       [ ("schema", Json.Str schema);
-        ("frames", Json.num (List.length payloads));
+        ("frames", Json.num (List.length sections));
         ("meta", meta) ]
   in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic;
-  add_frame b (Json.to_string header);
-  List.iter (add_frame b) payloads;
-  add_frame b end_marker;
-  atomic_write_string ~path (Buffer.contents b)
+  let frames =
+    (string_section (Json.to_string header) :: sections)
+    @ [ string_section end_marker ]
+  in
+  let size =
+    List.fold_left
+      (fun acc (len, _) -> acc + len + 8)
+      (String.length magic) frames
+  in
+  let b = Bytes.create size in
+  Bytes.blit_string magic 0 b 0 (String.length magic);
+  ignore
+    (List.fold_left
+       (fun pos (len, fill) ->
+         set_u32 b pos len;
+         fill b (pos + 4);
+         set_u32 b (pos + 4 + len) (crc_range 0 b (pos + 4) len);
+         pos + len + 8)
+       (String.length magic) frames);
+  atomic_write_string ~path (Bytes.unsafe_to_string b)
+
+let write ~path ~meta ~payloads =
+  write_sections ~path ~meta (List.map string_section payloads)
+
+let write_grid ~path ~meta buf =
+  write_sections ~path ~meta [ (8 * Buf.len buf, encode_floats buf) ]
 
 exception Bad of string
 
@@ -205,11 +276,8 @@ let read ~path =
 (* Grid payload codec *)
 
 let payload_of_buf buf =
-  let len = Buf.len buf in
-  let b = Bytes.create (8 * len) in
-  for i = 0 to len - 1 do
-    Bytes.set_int64_le b (8 * i) (Int64.bits_of_float (Buf.unsafe_get buf i))
-  done;
+  let b = Bytes.create (8 * Buf.len buf) in
+  encode_floats buf b 0;
   Bytes.unsafe_to_string b
 
 let payload_to_buf s buf =
@@ -219,9 +287,10 @@ let payload_to_buf s buf =
       (Printf.sprintf "payload is %d bytes, buffer needs %d"
          (String.length s) (8 * len))
   else begin
-    let b = Bytes.unsafe_of_string s in
+    let b = Bytes.unsafe_of_string s and data = buf.Buf.data in
     for i = 0 to len - 1 do
-      Buf.unsafe_set buf i (Int64.float_of_bits (Bytes.get_int64_le b (8 * i)))
+      Bigarray.Array1.unsafe_set data i
+        (Int64.float_of_bits (Bytes.get_int64_le b (8 * i)))
     done;
     Ok ()
   end

@@ -61,6 +61,12 @@ val write : path:string -> meta:Json.t -> payloads:string list -> unit
     schema, the payload count, and the caller's [meta] document), one
     CRC-framed section per payload, and a CRC-framed end marker. *)
 
+val write_grid : path:string -> meta:Json.t -> Repro_grid.Buf.t -> unit
+(** [write_grid ~path ~meta buf] writes exactly the bytes of
+    [write ~path ~meta ~payloads:[payload_of_buf buf]], encoding the
+    grid straight into the file image instead of through an
+    intermediate payload string. *)
+
 val read : path:string -> (Json.t * string list, string) result
 (** Reads a snapshot back, verifying the magic, every frame's CRC, the
     header's declared payload count, the end marker, and that no bytes

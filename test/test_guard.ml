@@ -332,6 +332,110 @@ let test_guard_solve_entry () =
   | o -> Alcotest.failf "solve: outcome %s" (Guard.outcome_name o));
   Alcotest.(check bool) "solve residual at tol" true (r.Guard.residual <= 1e-8)
 
+(* -- allocation gate ------------------------------------------------ *)
+
+(* Guard's per-cycle work on an accepted cycle (non-finite scan, fused
+   residual, classification, swap, [good] blit, checkpoint sink with a
+   durable write every 4th cycle) must not allocate in proportion to the
+   grid, and must not allocate a grid at all after the first accepted
+   cycle.  The stepper is a plain copy, so everything measured is
+   Guard's and the sink's.
+
+   Grid allocations are made visible through the GC: with
+   [custom_minor_ratio = 1] a bigarray holding more than 1 % of the
+   minor heap in out-of-heap memory forces a minor collection, while
+   the bookkeeping of a whole run is far too small to fill the (freshly
+   emptied) minor heap.  Durable writes allocate their file image on
+   the major heap, whose pacing may run minor collections, so the grid
+   check looks at the off-cadence accepts only: those are the ones that
+   used to copy the iterate. *)
+let accepted_cycle_costs ~n ~cycles =
+  let problem = Problem.poisson ~dims:2 ~n in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "polymg-guard-alloc-%d-%d" (Unix.getpid ()) n)
+  in
+  let clean () =
+    if Sys.file_exists dir then begin
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  clean ();
+  let sink =
+    Checkpoint.sink
+      { Checkpoint.dir; every = 4; keep = Checkpoint.default_keep }
+      ~dims:2 ~n ~variant:"copy" ~plan_digest:"alloc-gate" ()
+  in
+  let checkpoint =
+    { Guard.ck_accept = sink.Checkpoint.on_accept;
+      ck_restore = sink.Checkpoint.restore }
+  in
+  (* GC counters sampled when each cycle's step begins, i.e. after the
+     previous cycle was accepted *)
+  let words = Array.make (cycles + 1) 0.0 in
+  let minors = Array.make (cycles + 1) 0 in
+  let calls = ref 0 in
+  let stepper ~v ~f:_ ~out =
+    incr calls;
+    words.(!calls) <- Gc.minor_words ();
+    minors.(!calls) <- (Gc.quick_stat ()).Gc.minor_collections;
+    Grid.blit ~src:v ~dst:out
+  in
+  let policy =
+    { Guard.default_policy with
+      Guard.tol = None;
+      Guard.max_cycles = cycles;
+      (* a copy stepper never improves: accept every cycle as Ok *)
+      Guard.stagnation_eps = -1.0 }
+  in
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.custom_minor_ratio = 1 };
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Gc.set gc;
+        clean ())
+      (fun () ->
+        Gc.minor ();
+        Guard.run ~policy ~checkpoint ~primary:stepper ~problem ())
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "n=%d: every cycle accepted" n)
+    cycles (List.length r.Guard.stats);
+  (* accept k lies between samples k and k+1; skip the first accept,
+     which allocates the sink's copy *)
+  let off_cadence_minors = ref 0 in
+  for k = 2 to cycles - 1 do
+    if k mod 4 <> 0 then
+      off_cadence_minors := !off_cadence_minors + minors.(k + 1) - minors.(k)
+  done;
+  ( (words.(cycles) -. words.(2)) /. float_of_int (cycles - 2),
+    !off_cadence_minors )
+
+let test_accepted_cycle_allocation () =
+  let cycles = 18 in
+  let w64, gc64 = accepted_cycle_costs ~n:64 ~cycles in
+  let w256, gc256 = accepted_cycle_costs ~n:256 ~cycles in
+  (* 16x the points: anything per-point would show up many times over;
+     only the per-cycle stats/records constant may remain *)
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "minor words per accepted cycle do not grow with n (n=64 %.0f, \
+        n=256 %.0f)"
+       w64 w256)
+    true
+    (w256 <= w64 +. 64.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "per-cycle allocation is a small constant (%.0f words)"
+       w256)
+    true (w256 < 4096.0);
+  Alcotest.(check int) "n=64: no grid allocated after the first accept" 0
+    gc64;
+  Alcotest.(check int) "n=256: no grid allocated after the first accept" 0
+    gc256
+
 let () =
   Alcotest.run "guard"
     [ ( "detection",
@@ -366,4 +470,7 @@ let () =
           Alcotest.test_case "3D Poisson, fault every 4th cycle" `Quick
             test_poisson_3d_faults_every_k;
           Alcotest.test_case "Guard.solve with poison + plan check" `Quick
-            test_guard_solve_entry ] ) ]
+            test_guard_solve_entry ] );
+      ( "allocation",
+        [ Alcotest.test_case "accepted cycles allocate no grids" `Quick
+            test_accepted_cycle_allocation ] ) ]

@@ -184,6 +184,139 @@ let test_verify_residual_of_exact_discrete () =
   Verify.apply_poisson ~n ~v ~out:f;
   check_float "zero residual" 0.0 (Verify.residual_l2 ~n ~v ~f)
 
+(* -- Verify kernels vs the indexed reference ------------------------- *)
+
+(* The _ref oracle (HPCG's ComputeMG_ref/_opt discipline): Verify's
+   earlier formulation — indexed accessors, a temporary A·v grid, a
+   closure reduction over f's interior.  The flat-offset kernels must
+   reproduce it bit for bit. *)
+let apply_poisson_ref ~n ~v ~out =
+  let invhsq = float_of_int (n * n) in
+  let e = Grid.extents v in
+  match Grid.dims v with
+  | 2 ->
+    for i = 1 to e.(0) - 2 do
+      for j = 1 to e.(1) - 2 do
+        let c = Grid.get2 v i j in
+        let s =
+          (4.0 *. c) -. Grid.get2 v (i - 1) j -. Grid.get2 v (i + 1) j
+          -. Grid.get2 v i (j - 1) -. Grid.get2 v i (j + 1)
+        in
+        Grid.set2 out i j (invhsq *. s)
+      done
+    done
+  | 3 ->
+    for i = 1 to e.(0) - 2 do
+      for j = 1 to e.(1) - 2 do
+        for k = 1 to e.(2) - 2 do
+          let c = Grid.get3 v i j k in
+          let s =
+            (6.0 *. c) -. Grid.get3 v (i - 1) j k -. Grid.get3 v (i + 1) j k
+            -. Grid.get3 v i (j - 1) k -. Grid.get3 v i (j + 1) k
+            -. Grid.get3 v i j (k - 1) -. Grid.get3 v i j (k + 1)
+          in
+          Grid.set3 out i j k (invhsq *. s)
+        done
+      done
+    done
+  | _ -> invalid_arg "apply_poisson_ref: rank"
+
+let residual_l2_ref ~n ~v ~f =
+  let av = Grid.create (Grid.extents v) in
+  apply_poisson_ref ~n ~v ~out:av;
+  let sum = ref 0.0 and count = ref 0 in
+  Grid.iter_interior f ~f:(fun idx fv ->
+      let r = fv -. Grid.get av idx in
+      sum := !sum +. (r *. r);
+      incr count);
+  sqrt (!sum /. float_of_int !count)
+
+(* rank 2 or 3, every extent in 3..13 independently, values spread over
+   twelve decades with both signs so rounding differences would show *)
+let verify_case =
+  let open QCheck.Gen in
+  let gen =
+    let* dims = int_range 2 3 in
+    let* extents = array_size (return dims) (int_range 3 13) in
+    let* n = int_range 1 2048 in
+    let* seed = int_bound 1_000_000 in
+    return (n, extents, seed)
+  in
+  QCheck.make gen ~print:(fun (n, e, seed) ->
+      Printf.sprintf "n=%d extents=[%s] seed=%d" n
+        (String.concat "x" (Array.to_list (Array.map string_of_int e)))
+        seed)
+
+let random_grid st extents =
+  let g = Grid.create extents in
+  Grid.fill_all g ~f:(fun _ ->
+      (Random.State.float st 2.0 -. 1.0)
+      *. (10.0 ** float_of_int (Random.State.int st 13 - 6)));
+  g
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_verify_matches_ref =
+  QCheck.Test.make ~name:"Verify kernels bit-identical to the reference"
+    ~count:200 verify_case (fun (n, extents, seed) ->
+      let st = Random.State.make [| seed |] in
+      let v = random_grid st extents and f = random_grid st extents in
+      (* ghost cells of [out] are left alone: start both from the same
+         garbage so the whole buffers can be compared *)
+      let out = random_grid st extents in
+      let out_ref = Grid.copy out in
+      Verify.apply_poisson ~n ~v ~out;
+      apply_poisson_ref ~n ~v ~out:out_ref;
+      let buf_same = ref true in
+      for i = 0 to Grid.points out - 1 do
+        if
+          not
+            (same_bits
+               (Repro_grid.Buf.get out.Grid.buf i)
+               (Repro_grid.Buf.get out_ref.Grid.buf i))
+        then buf_same := false
+      done;
+      !buf_same
+      && same_bits (Verify.residual_l2 ~n ~v ~f) (residual_l2_ref ~n ~v ~f))
+
+let test_verify_nonfinite_propagates () =
+  let n = 8 in
+  let v = Grid.interior ~dims:2 (n - 1) in
+  let f = Grid.create (Grid.extents v) in
+  Grid.set2 v 3 4 Float.nan;
+  check_bool "NaN in v gives a NaN residual" true
+    (Float.is_nan (Verify.residual_l2 ~n ~v ~f));
+  let v3 = Grid.interior ~dims:3 (n - 1) in
+  let f3 = Grid.create (Grid.extents v3) in
+  Grid.set3 v3 2 2 2 Float.infinity;
+  check_bool "Inf in v gives a non-finite residual" true
+    (not (Float.is_finite (Verify.residual_l2 ~n ~v:v3 ~f:f3)))
+
+let test_verify_rejects_bad_operands () =
+  let raises name fn =
+    check_bool name true
+      (match fn () with
+       | (_ : unit) -> false
+       | exception Invalid_argument _ -> true)
+  in
+  let v = Grid.create [| 6; 7 |] in
+  raises "f extents differ from v" (fun () ->
+      ignore (Verify.residual_l2 ~n:4 ~v ~f:(Grid.create [| 7; 6 |])));
+  raises "out extents differ from v" (fun () ->
+      Verify.apply_poisson ~n:4 ~v ~out:(Grid.create [| 6; 8 |]));
+  raises "extent < 3 (residual)" (fun () ->
+      let g = Grid.create [| 2; 5 |] in
+      ignore (Verify.residual_l2 ~n:4 ~v:g ~f:g));
+  List.iter
+    (fun extents ->
+      let g = Grid.create extents in
+      let rank = Array.length extents in
+      raises (Printf.sprintf "rank %d (residual)" rank) (fun () ->
+          ignore (Verify.residual_l2 ~n:4 ~v:g ~f:(Grid.copy g)));
+      raises (Printf.sprintf "rank %d (apply)" rank) (fun () ->
+          Verify.apply_poisson ~n:4 ~v:g ~out:(Grid.copy g)))
+    [ [| 5 |]; [| 4; 4; 4; 4 |] ]
+
 let test_problem_classes () =
   check_int "2D B" 1024 (Problem.class_n ~dims:2 Problem.B);
   check_int "3D C" 256 (Problem.class_n ~dims:3 Problem.C);
@@ -238,4 +371,11 @@ let () =
             test_verify_residual_of_exact_discrete;
           Alcotest.test_case "classes" `Quick test_problem_classes;
           Alcotest.test_case "rhs" `Quick test_problem_rhs;
-          Alcotest.test_case "iterate swaps" `Quick test_solver_iterate_swaps ] ) ]
+          Alcotest.test_case "iterate swaps" `Quick test_solver_iterate_swaps;
+          Alcotest.test_case "non-finite v propagates" `Quick
+            test_verify_nonfinite_propagates;
+          Alcotest.test_case "bad operands rejected" `Quick
+            test_verify_rejects_bad_operands ] );
+      ( "verify kernels",
+        Qc_replay.to_alcotest_list [ prop_verify_matches_ref ] )
+    ]

@@ -125,6 +125,51 @@ let test_cache_determinism =
       let d = run_both plan k3 ~n:32 in
       check_bool "disk-cached kernel still correct" true (d < budget))
 
+(* -- cache identity covers stencil weights --------------------------- *)
+
+(* Runs a generated pipeline through its (interned) native kernel and
+   the interpreter on the same input; returns the max difference. *)
+let native_vs_interp built plan kernel ~n =
+  let (p, in_id, out_id) = built in
+  let f = Repro_ir.Pipeline.func p out_id in
+  let out_n = Repro_ir.Sizeexpr.eval ~n f.Repro_ir.Func.sizes.(0) in
+  let input = Grid.interior ~dims:2 (n - 1) in
+  Grid.fill_interior input ~f:(fun idx ->
+      sin (float_of_int ((idx.(0) * 7) + (idx.(1) * 3)) /. 5.0));
+  let reference = Pipeline_gen.run_plan built plan ~n in
+  let out = Grid.interior ~dims:2 out_n in
+  Native.run kernel ~inputs:[ (in_id, input) ] ~outputs:[ (out_id, out) ];
+  Grid.max_abs_diff reference out
+
+(* Two single-stencil pipelines that differ only in their weights print
+   the same plan summary (hence the same Plan.digest), but emit
+   different C: they must get distinct kernels, each correct. *)
+let test_weights_distinguish_kernels =
+  with_native_env ~tag:"weights" (fun ~compiler ~dir:_ ->
+      let n = 32 in
+      let build w =
+        let built =
+          Pipeline_gen.gen_pipeline_of [ Pipeline_gen.G_stencil (0, w, 1.0) ]
+        in
+        (built, Pipeline_gen.build_plan built ~opts:Options.opt_plus ~n)
+      in
+      let b1, p1 = build [| 0.; 0.; 0.; 0.; 1.; 0.; 0.; 0.; 0. |] in
+      let b2, p2 = build [| 0.5; 0.1; 0.2; -0.1; 0.25; 0.3; 0.05; 0.15; -0.3 |] in
+      check_bool "distinct weights, distinct cache keys" true
+        (Native.cache_key p1 ~compiler <> Native.cache_key p2 ~compiler);
+      let k1 = load_exn p1 in
+      let k2 = load_exn p2 in
+      check_int "each plan compiled its own kernel" 2
+        (Telemetry.value c_compiles);
+      List.iter
+        (fun (name, built, plan, k) ->
+          let d = native_vs_interp built plan k ~n in
+          check_bool
+            (Printf.sprintf "%s: native within %g of interpreter (got %g)"
+               name budget d)
+            true (d < budget))
+        [ ("identity weights", b1, p1, k1); ("mixed weights", b2, p2, k2) ])
+
 (* -- torn/corrupt .so: rejected by the CRC sidecar, recompiled --------- *)
 
 let test_torn_so_rejected =
@@ -232,18 +277,7 @@ let prop_native_matches_interp =
         (* unemittable plan (or no compiler): vacuously true — the
            backend refused, it did not miscompute *)
         true
-      | Ok kernel ->
-        let (p, in_id, out_id) = built in
-        let f = Repro_ir.Pipeline.func p out_id in
-        let out_n = Repro_ir.Sizeexpr.eval ~n f.Repro_ir.Func.sizes.(0) in
-        let input = Grid.interior ~dims:2 (n - 1) in
-        Grid.fill_interior input ~f:(fun idx ->
-            sin (float_of_int ((idx.(0) * 7) + (idx.(1) * 3)) /. 5.0));
-        let reference = Pipeline_gen.run_plan built plan ~n in
-        let out = Grid.interior ~dims:2 out_n in
-        Native.run kernel ~inputs:[ (in_id, input) ]
-          ~outputs:[ (out_id, out) ];
-        Grid.max_abs_diff reference out < budget)
+      | Ok kernel -> native_vs_interp built plan kernel ~n < budget)
 
 let properties =
   List.map
@@ -257,6 +291,8 @@ let () =
         [ Alcotest.test_case "matches interpreter" `Quick test_matches_interp;
           Alcotest.test_case "cache determinism" `Quick
             test_cache_determinism;
+          Alcotest.test_case "weights distinguish kernels" `Quick
+            test_weights_distinguish_kernels;
           Alcotest.test_case "torn .so rejected" `Quick test_torn_so_rejected;
           Alcotest.test_case "compile failure falls back" `Quick
             test_compile_failure_fallback ] );

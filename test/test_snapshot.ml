@@ -4,10 +4,12 @@
    container round-trips metadata and payloads bit-identically, and any
    single-byte corruption, truncation, or trailing garbage makes [read]
    reject the file — the CRC framing never deserializes a torn write.
-   Unit tests cover the CRC test vector, atomic replacement, generation
+   Unit tests cover the CRC test vector and its agreement with a
+   bytewise reference, a golden file pinning the encoder's bytes,
+   atomic replacement, generation
    rotation (the newest good generation is never deleted), corrupt-
    generation fallback, the deadline-aware cadence clamp, and the
-   sink's deferred-flush copy semantics. *)
+   sink's deferred-flush copy semantics, including reuse of its copy. *)
 
 open Repro_mg
 module Grid = Repro_grid.Grid
@@ -159,6 +161,109 @@ let test_crc_vector () =
     "crc32(123456789)" 0xCBF43926
     (Snapshot.crc32 "123456789")
 
+(* Bytewise reference CRC (one table lookup per byte), the formulation
+   the slicing-by-8 implementation replaced. *)
+let crc32_ref ?(crc = 0) s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  String.iter
+    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
+    s;
+  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+let test_crc_matches_bytewise () =
+  let st = Random.State.make [| 17 |] in
+  let s = String.init 64 (fun _ -> Char.chr (Random.State.int st 256)) in
+  for len = 0 to 64 do
+    let prefix = String.sub s 0 len in
+    Alcotest.(check int)
+      (Printf.sprintf "length %d" len)
+      (crc32_ref prefix) (Snapshot.crc32 prefix);
+    (* chaining: every split point of the prefix *)
+    for k = 0 to len do
+      let a = String.sub prefix 0 k and b = String.sub prefix k (len - k) in
+      Alcotest.(check int)
+        (Printf.sprintf "length %d split at %d" len k)
+        (crc32_ref prefix)
+        (Snapshot.crc32 ~crc:(Snapshot.crc32 a) b)
+    done
+  done
+
+let prop_crc_matches_bytewise =
+  QCheck.Test.make ~name:"crc32 equals the bytewise reference" ~count:300
+    QCheck.(pair (string_of_size Gen.(int_range 0 300)) small_nat)
+    (fun (s, split) ->
+      let k = split mod (String.length s + 1) in
+      let a = String.sub s 0 k
+      and b = String.sub s k (String.length s - k) in
+      Snapshot.crc32 s = crc32_ref s
+      && Snapshot.crc32 ~crc:(Snapshot.crc32 a) b = crc32_ref s
+      && Snapshot.crc32 ~crc:(crc32_ref a) b = crc32_ref ~crc:(crc32_ref a) b)
+
+(* test/golden/snapshot-v1.snap holds the bytes the original
+   Buffer-based encoder produced for exactly these inputs: the encoder
+   must keep writing them byte for byte, and the reader must accept
+   them. *)
+let golden_inputs () =
+  let bits =
+    [| 0x0000000000000000L; 0x8000000000000000L; 0x3FF0000000000000L;
+       0x400921FB54442D18L; 0x7FF0000000000000L; 0xFFF0000000000000L;
+       0x7FF8000000000001L; 0x0000000000000001L; 0xC1D2E3F405162738L |]
+  in
+  let buf = Buf.of_array (Array.map Int64.float_of_bits bits) in
+  let meta =
+    Json.Obj
+      [ ("kind", Json.Str "golden");
+        ("cycle", Json.num 7);
+        ("residual", Json.Num 1.25e-9);
+        ("extents", Json.Arr [ Json.num 3; Json.num 3 ]);
+        ("note", Json.Str "tab\there \"quoted\"") ]
+  in
+  (meta, [ Snapshot.payload_of_buf buf; String.init 256 Char.chr; "" ])
+
+(* found from the test directory (dune runtest) or the repo root *)
+let golden_path () =
+  match
+    List.find_opt Sys.file_exists
+      [ "golden/snapshot-v1.snap"; "test/golden/snapshot-v1.snap" ]
+  with
+  | Some p -> p
+  | None -> Alcotest.fail "golden/snapshot-v1.snap not found"
+
+let test_golden_snapshot () =
+  let golden = read_file (golden_path ()) in
+  let meta, payloads = golden_inputs () in
+  let path = fresh "golden" in
+  Snapshot.write ~path ~meta ~payloads;
+  Alcotest.(check int) "same size as the golden file"
+    (String.length golden) (String.length (read_file path));
+  Alcotest.(check bool) "byte-identical to the golden file" true
+    (read_file path = golden);
+  match Snapshot.read ~path:(golden_path ()) with
+  | Error m -> Alcotest.failf "golden file rejected: %s" m
+  | Ok (meta', payloads') ->
+    Alcotest.(check string) "golden metadata"
+      (Json.to_string meta) (Json.to_string meta');
+    Alcotest.(check (list string)) "golden payloads" payloads payloads'
+
+let test_write_grid_matches_write () =
+  let buf = Buf.create 1000 in
+  let st = Random.State.make [| 5 |] in
+  Buf.map_inplace (fun _ -> Random.State.float st 2.0 -. 1.0) buf;
+  let meta = Json.Obj [ ("kind", Json.Str "grid") ] in
+  let a = fresh "grid-a" and b = fresh "grid-b" in
+  Snapshot.write ~path:a ~meta ~payloads:[ Snapshot.payload_of_buf buf ];
+  Snapshot.write_grid ~path:b ~meta buf;
+  Alcotest.(check bool) "write_grid is byte-identical to write" true
+    (read_file a = read_file b)
+
 let test_atomic_replace () =
   let path = fresh "atomic" in
   Snapshot.atomic_write_string ~path "first\n";
@@ -257,12 +362,34 @@ let test_sink_flush_copies () =
   (match sink.Checkpoint.flush () with
    | None -> Alcotest.fail "flush had nothing to save"
    | Some _ -> ());
+  (match Checkpoint.load_latest ~dir with
+   | Error m -> Alcotest.failf "load after flush: %s" m
+   | Ok r ->
+     Alcotest.(check (float 0.0))
+       "flushed the accepted values, not the reused buffer" 7.0
+       (Grid.get2 r.Checkpoint.state.Checkpoint.v 3 3));
+  (* a later off-cadence accept overwrites the sink's one copy: the
+     next flush must persist that state, whole *)
+  let w = Grid.create [| 9; 9 |] in
+  Grid.fill_interior w ~f:(fun idx -> float_of_int (idx.(0) + idx.(1)));
+  sink.Checkpoint.on_accept ~cycle:2 ~residual:0.25 ~v:w
+    ~stats:
+      [ { Solver.cycle = 1; residual = 0.5; seconds = 0.0; status = Solver.Ok };
+        { Solver.cycle = 2; residual = 0.25; seconds = 0.0;
+          status = Solver.Ok } ];
+  Grid.fill_interior w ~f:(fun _ -> -1.0);
+  (match sink.Checkpoint.flush () with
+   | None -> Alcotest.fail "second flush had nothing to save"
+   | Some _ -> ());
   match Checkpoint.load_latest ~dir with
-  | Error m -> Alcotest.failf "load after flush: %s" m
+  | Error m -> Alcotest.failf "load after second flush: %s" m
   | Ok r ->
-    Alcotest.(check (float 0.0))
-      "flushed the accepted values, not the reused buffer" 7.0
-      (Grid.get2 r.Checkpoint.state.Checkpoint.v 3 3)
+    let st = r.Checkpoint.state in
+    Alcotest.(check int) "latest accepted cycle" 2 st.Checkpoint.cycle;
+    let whole = ref true in
+    Grid.iter_interior st.Checkpoint.v ~f:(fun idx x ->
+        if x <> float_of_int (idx.(0) + idx.(1)) then whole := false);
+    Alcotest.(check bool) "cycle 2's values, whole" true !whole
 
 let () =
   rm_rf tmpdir;
@@ -274,9 +401,13 @@ let () =
             prop_corruption_rejected;
             prop_truncation_rejected;
             prop_trailing_rejected;
-            prop_grid_codec ] );
+            prop_grid_codec;
+            prop_crc_matches_bytewise ] );
       ( "unit",
         [ unit "crc32 test vector" test_crc_vector;
+          unit "crc32 matches bytewise on lengths 0-64" test_crc_matches_bytewise;
+          unit "golden snapshot bytes" test_golden_snapshot;
+          unit "write_grid matches write" test_write_grid_matches_write;
           unit "atomic replacement" test_atomic_replace;
           unit "generation rotation" test_rotation;
           unit "corrupt-generation fallback" test_corrupt_fallback;
