@@ -6,6 +6,8 @@
      bench/main.exe all --class C      full paper run at class C
      bench/main.exe table3|fig9|fig10|fig11a|fig11b|fig12|nas|scaling
      bench/main.exe quick              fast smoke pass (small sizes)
+     bench/main.exe native [--cls B]   backend axis at N=128, or at the
+                                       class size with --cls/--class
      bench/main.exe bechamel           Bechamel micro-suite (one Test.make
                                        per table/figure kernel) *)
 
@@ -16,12 +18,13 @@ let usage () =
   print_endline
     "usage: main.exe \
      [all|table3|fig9|fig10|fig11a|fig11b|fig12|nas|scaling|ablation|quick|native|bechamel|telemetry|flightrec|profile] \
-     [--class B|C] [--cycles N] [--reps N] [--ledger PATH]";
+     [--class|--cls B|C] [--cycles N] [--reps N] [--ledger PATH]";
   exit 1
 
 type args = {
   cmd : string;
   cls : Problem.cls;
+  cls_explicit : bool;  (** --class/--cls given on the command line *)
   nas_cls : Repro_nas.Nas_coeffs.cls;
   cycles : int;
   reps : int;
@@ -31,15 +34,18 @@ type args = {
 let parse_args () =
   let cmd = ref "all" in
   let cls = ref Problem.B in
+  let cls_explicit = ref false in
   let nas_cls = ref Repro_nas.Nas_coeffs.B in
   let cycles = ref 2 in
   let reps = ref 2 in
   let ledger = ref None in
   let rec go = function
     | [] -> ()
-    | "--class" :: v :: rest ->
+    | ("--class" | "--cls") :: v :: rest ->
       (match Problem.cls_of_string v with
-       | Some c -> cls := c
+       | Some c ->
+         cls := c;
+         cls_explicit := true
        | None -> usage ());
       (match Repro_nas.Nas_coeffs.cls_of_string v with
        | Some c -> nas_cls := c
@@ -66,6 +72,7 @@ let parse_args () =
   go (List.tl (Array.to_list Sys.argv));
   { cmd = !cmd;
     cls = !cls;
+    cls_explicit = !cls_explicit;
     nas_cls = !nas_cls;
     cycles = !cycles;
     reps = !reps;
@@ -162,11 +169,24 @@ let main () =
           min of %d\n"
          compiler a.cycles a.reps;
        let cfg = Cycle.default ~dims:2 ~shape:Cycle.V ~smoothing:(4, 4, 4) in
+       (* N=128 by default; an explicit class runs the class size over
+          the full hierarchy down to a 2x2 coarsest grid (10 levels at
+          class B), the configuration the paper reports *)
+       let cfg, n =
+         if a.cls_explicit then
+           let n = Problem.class_n ~dims:2 a.cls in
+           let rec log2 k = if k <= 1 then 0 else 1 + log2 (k / 2) in
+           ({ cfg with Cycle.levels = log2 n }, n)
+         else (cfg, 128)
+       in
        let rows =
          Harness.run_benchmark ~cycles:a.cycles ~reps:a.reps
-           ~variants:Harness.native_variants cfg ~n:128
+           ~variants:Harness.native_variants cfg ~n
        in
-       Harness.print_speedups ~title:"V-2D-4-4-4 N=128 (backend axis)"
+       Harness.print_speedups
+         ~title:
+           (Printf.sprintf "V-2D-4-4-4 N=%d, %d levels (backend axis)" n
+              cfg.Cycle.levels)
          ~base:"polymg-naive/native" rows)
   | "telemetry" ->
     (* instrumentation-off cost check: the no-op budget plus a paired

@@ -131,24 +131,58 @@ let emit_cases fmt ~(member : Plan.member) ~(stores : cstore array)
     member.Plan.compiled.Compile.cases
 
 (* Boundary value on [lb..ub] ∖ interior [1..msz] — the engine's
-   [Compile.fill_rim] over a demand region's ghost part. *)
+   [Compile.fill_rim] over a demand region's ghost part.  [ilo..ihi] is
+   [lb..ub] clamped to the interior.  Bounds lie within the ghosted box
+   [0..msz+1] (demand regions are clipped to it), so the rim is at most
+   the 2·dims one-cell layers x_k = 0 and x_k = msz_k + 1, each present
+   when [lb..ub] reaches it.  Along the layer of dim k, the dims before
+   k are clamped to the interior so that no cell is written twice, and
+   no interior cell is visited. *)
 let emit_rim fmt ~dims ~(dst : cstore) ~(lb : string array)
-    ~(ub : string array) ~(msz : int array) ~bnd ~indent =
+    ~(ub : string array) ~(ilo : string array) ~(ihi : string array)
+    ~(msz : int array) ~bnd ~indent =
   let pad = String.make indent ' ' in
-  for k = 0 to dims - 1 do
-    pf fmt "%s%sfor (int %s = %s; %s <= %s; %s++)@," pad
-      (String.make (2 * k) ' ')
-      loop_vars.(k) lb.(k) loop_vars.(k) ub.(k) loop_vars.(k)
-  done;
-  let cond =
-    String.concat " || "
-      (List.init dims (fun k ->
-           Printf.sprintf "%s < 1 || %s > %d" loop_vars.(k) loop_vars.(k)
-             msz.(k)))
+  (* the C tests for "a <= b": none when it holds for literals, [None]
+     when it fails for them *)
+  let le a b =
+    match (int_of_string_opt a, int_of_string_opt b) with
+    | Some x, Some y -> if x <= y then Some [] else None
+    | _ -> Some [ Printf.sprintf "%s <= %s" a b ]
   in
-  pf fmt "%s%sif (%s) %s[%s] = %s;@," pad
-    (String.make (2 * dims) ' ')
-    cond dst.cname (self_index_str dst dims) (fstr bnd)
+  for k = 0 to dims - 1 do
+    List.iter
+      (fun layer ->
+        let x = string_of_int layer in
+        match (le lb.(k) x, le x ub.(k)) with
+        | Some c1, Some c2 ->
+          (match c1 @ c2 with
+           | [] -> pf fmt "%s{@," pad
+           | cond -> pf fmt "%sif (%s) {@," pad (String.concat " && " cond));
+          pf fmt "%s  const int %s = %s;@," pad loop_vars.(k) x;
+          let depth = ref 0 in
+          for m = 0 to dims - 1 do
+            if m <> k then begin
+              let lo, hi =
+                if m < k then (ilo.(m), ihi.(m)) else (lb.(m), ub.(m))
+              in
+              pf fmt "%s  %sfor (int %s = %s; %s <= %s; %s++)@," pad
+                (String.make (2 * !depth) ' ')
+                loop_vars.(m) lo loop_vars.(m) hi loop_vars.(m);
+              incr depth
+            end
+          done;
+          pf fmt "%s  %s%s[%s] = %s;@,%s}@," pad
+            (String.make (2 * !depth) ' ')
+            dst.cname (self_index_str dst dims) (fstr bnd) pad
+        | _ -> ())
+      [ 0; msz.(k) + 1 ]
+  done
+
+(* The rim of a whole ghosted grid: lb = 0, ub = msz + 1. *)
+let emit_full_rim fmt ~dims ~dst ~(msz : int array) ~bnd ~indent =
+  emit_rim fmt ~dims ~dst ~lb:(zeros dims)
+    ~ub:(Array.map (fun s -> string_of_int (s + 1)) msz)
+    ~ilo:(Array.make dims "1") ~ihi:(int_strs msz) ~msz ~bnd ~indent
 
 let emit_copy fmt ~dims ~(src : cstore) ~(dst : cstore) ~(lb : string array)
     ~(ub : string array) ~indent =
@@ -296,7 +330,7 @@ let emit_tiled fmt ~(input_store : int -> cstore)
       ~clamp:(fun m k -> (1, m.Plan.sizes.(k)))
   in
   let affine_ok = affine_r <> None && affine_o <> None in
-  pf fmt "@,  /* ---- group %d: overlapped tiles %s over %s (%s bounds) ---- */@,"
+  pf fmt "  /* ---- group %d: overlapped tiles %s over %s (%s bounds) ---- */@,"
     tg.Plan.gid
     (String.concat "x"
        (Array.to_list (Array.map string_of_int tg.Plan.tile_sizes)))
@@ -336,9 +370,8 @@ let emit_tiled fmt ~(input_store : int -> cstore)
       | Some a ->
         let st = array_store a ~of_func:m.Plan.func.Func.id in
         pf fmt "  /* ghost rim of live-out %s */@," m.Plan.func.Func.name;
-        emit_rim fmt ~dims ~dst:st ~lb:(zeros dims)
-          ~ub:(Array.map (fun s -> string_of_int (s + 1)) m.Plan.sizes)
-          ~msz:m.Plan.sizes ~bnd:m.Plan.compiled.Compile.boundary ~indent:2)
+        emit_full_rim fmt ~dims ~dst:st ~msz:m.Plan.sizes
+          ~bnd:m.Plan.compiled.Compile.boundary ~indent:2)
     members;
   pf fmt "  #pragma omp parallel for schedule(static) collapse(%d)@," dims;
   for k = 0 to dims - 1 do
@@ -452,6 +485,8 @@ let emit_tiled fmt ~(input_store : int -> cstore)
         emit_rim fmt ~dims ~dst
           ~lb:(Array.init dims (fun k -> rvar p k true))
           ~ub:(Array.init dims (fun k -> rvar p k false))
+          ~ilo:(Array.init dims (fun k -> cvar p k true))
+          ~ihi:(Array.init dims (fun k -> cvar p k false))
           ~msz ~bnd:m.Plan.compiled.Compile.boundary ~indent:(indent + 2);
         emit_cases fmt ~member:m ~stores ~dst
           ~lb:(Array.init dims (fun k -> cvar p k true))
@@ -520,7 +555,7 @@ let emit_diamond fmt ~(input_store : int -> cstore)
       Printf.sprintf "time-skewed (wavefront) tiling, tau=%d sigma=%d" tau
         sigma
   in
-  pf fmt "@,  /* ---- group %d: %s, %d steps ---- */@," dg.Plan.gid scheme_str
+  pf fmt "  /* ---- group %d: %s, %d steps ---- */@," dg.Plan.gid scheme_str
     nsteps;
   pf fmt "  /* executed here as the equivalent untiled time loop: the@,";
   pf fmt "   * schedule computes every (t, x) row exactly once, so results@,";
@@ -544,11 +579,10 @@ let emit_diamond fmt ~(input_store : int -> cstore)
   pf fmt "  {@,";
   pf fmt "    double *%s = (double *) pool_allocate(sizeof(double) * %d);@,"
     tmp_name len;
-  let ghost_ub = Array.map (fun s -> string_of_int (s + 1)) dg.Plan.sizes in
   List.iter
     (fun st ->
-      emit_rim fmt ~dims ~dst:st ~lb:(zeros dims) ~ub:ghost_ub
-        ~msz:dg.Plan.sizes ~bnd:boundary ~indent:4)
+      emit_full_rim fmt ~dims ~dst:st ~msz:dg.Plan.sizes ~bnd:boundary
+        ~indent:4)
     [ out_store; tmp_store ];
   (* buffer holding iterate t: the final step lands in the output array *)
   let buf_of t = if (nsteps - t) mod 2 = 0 then out_store else tmp_store in
@@ -596,6 +630,34 @@ let emit_diamond fmt ~(input_store : int -> cstore)
 (* ------------------------------------------------------------------ *)
 (* Whole-pipeline body                                                  *)
 
+(* Inputs and full arrays a group reads or writes, in index order: the
+   parameters of its C function. *)
+let group_refs (g : Plan.group_exec) =
+  let ins = ref [] and arrs = ref [] in
+  let add_src = function
+    | Plan.P_input i -> ins := i :: !ins
+    | Plan.P_array a -> arrs := a :: !arrs
+    | Plan.P_member _ -> ()
+  in
+  let add_member (m : Plan.member) =
+    Array.iter add_src m.Plan.src_of;
+    Option.iter (fun a -> arrs := a :: !arrs) m.Plan.array_id
+  in
+  (match g with
+   | Plan.G_tiled tg -> Array.iter add_member tg.Plan.members
+   | Plan.G_diamond dg ->
+     Array.iter add_member dg.Plan.steps;
+     Option.iter add_src dg.Plan.init_src);
+  (List.sort_uniq compare !ins, List.sort_uniq compare !arrs)
+
+let group_gid = function
+  | Plan.G_tiled tg -> tg.Plan.gid
+  | Plan.G_diamond dg -> dg.Plan.gid
+
+(* One static function per stage group, then the pipeline entry that
+   allocates the full arrays and calls the groups in order.  Small
+   functions keep the C compiler's optimizer (superlinear in function
+   size) cheap enough to afford vectorization. *)
 let emit_body fmt (plan : Plan.t) =
   let pipeline = plan.Plan.pipeline in
   let n = plan.Plan.n in
@@ -603,17 +665,33 @@ let emit_body fmt (plan : Plan.t) =
     let f = Pipeline.func pipeline id in
     Array.map (fun s -> Sizeexpr.eval ~n s) f.Func.sizes
   in
-  let array_store a ~of_func =
-    full_store (Printf.sprintf "_arr_%d" a) (func_sizes of_func)
-  in
+  let array_name a = Printf.sprintf "_arr_%d" a in
+  let array_store a ~of_func = full_store (array_name a) (func_sizes of_func) in
+  let input_name i = (Pipeline.func pipeline plan.Plan.inputs.(i)).Func.name in
   let input_store i =
-    let id = plan.Plan.inputs.(i) in
-    full_store (Pipeline.func pipeline id).Func.name (func_sizes id)
+    full_store (input_name i) (func_sizes plan.Plan.inputs.(i))
   in
-  let in_names =
-    Array.to_list plan.Plan.inputs
-    |> List.map (fun id -> (Pipeline.func pipeline id).Func.name)
+  let args g =
+    let ins, arrs = group_refs g in
+    List.map input_name ins @ List.map array_name arrs
   in
+  Array.iter
+    (fun g ->
+      let params =
+        match args g with
+        | [] -> "void"
+        | l -> String.concat ", " (List.map (fun s -> "double *" ^ s) l)
+      in
+      pf fmt "@,static void group_%d(%s)@,{@," (group_gid g) params;
+      (match g with
+       | Plan.G_tiled tg -> emit_tiled fmt ~input_store ~array_store tg
+       | Plan.G_diamond dg -> emit_diamond fmt ~input_store ~array_store dg);
+      pf fmt "}@,")
+    plan.Plan.groups;
+  let in_names = List.init (Array.length plan.Plan.inputs) input_name in
+  pf fmt "@,/* out[i], when non-NULL on entry, is the buffer the i-th output is@,";
+  pf fmt "   computed into in place; when NULL it is pool-allocated.  Either@,";
+  pf fmt "   way it holds the i-th output on return. */@,";
   pf fmt "void pipeline_%s(int N, %s, double **out)@,{@,"
     (c_ident (Pipeline.name pipeline))
     (String.concat ", "
@@ -635,17 +713,24 @@ let emit_body fmt (plan : Plan.t) =
           | None -> ())
         ms)
     plan.Plan.groups;
+  let out_slot a =
+    List.find_index (fun (_, oa) -> oa = a) plan.Plan.output_arrays
+  in
   Array.iteri
     (fun a (info : Plan.array_info) ->
       pf fmt "  /* users: [%s] */@," (String.concat "; " (List.rev users.(a)));
-      pf fmt "  double *_arr_%d = (double *) pool_allocate(sizeof(double) * %d);@,"
-        a info.Plan.len)
+      let alloc =
+        Printf.sprintf "(double *) pool_allocate(sizeof(double) * %d)"
+          info.Plan.len
+      in
+      match out_slot a with
+      | Some i ->
+        pf fmt "  double *_arr_%d = out[%d] ? out[%d] : %s;@," a i i alloc
+      | None -> pf fmt "  double *_arr_%d = %s;@," a alloc)
     plan.Plan.arrays;
   Array.iter
     (fun g ->
-      match g with
-      | Plan.G_tiled tg -> emit_tiled fmt ~input_store ~array_store tg
-      | Plan.G_diamond dg -> emit_diamond fmt ~input_store ~array_store dg)
+      pf fmt "  group_%d(%s);@," (group_gid g) (String.concat ", " (args g)))
     plan.Plan.groups;
   (* releases; output arrays are returned to the caller *)
   Array.iteri

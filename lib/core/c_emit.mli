@@ -9,9 +9,14 @@
     nests with min/max-clamped overlapped-tile bounds (the shape of
     Fig. 8; groups whose exact per-tile demand regions are not affine in
     the tile coordinates fall back to static bound tables).  The emitted
-    code computes what the engine computes: ghost rims are filled, own
-    slices are published to the full arrays, diamond chains run as their
-    equivalent untiled time loop, and outputs are returned through [out].
+    code computes what the engine computes: ghost rims are filled (as
+    their one-cell border layers), own slices are published to the full
+    arrays, diamond chains run as their equivalent untiled time loop, and
+    outputs are returned through [out].  Each stage group is a [static]
+    function [group_<gid>] taking the inputs and full arrays it touches;
+    [pipeline_<name>] allocates the arrays and calls the groups in order.
+    A non-NULL [out[i]] on entry is the buffer the i-th output is
+    computed into in place; a NULL one is pool-allocated.
 
     [driver_to_string] additionally wraps the pipeline in a
     self-contained [main()] — deterministic FNV-1a input fill, binary

@@ -48,6 +48,13 @@ val set_compiler_override : string option -> unit
     and probing (so a deliberately broken command exercises the
     compile-failure path). *)
 
+val opt_cflags : string
+(** The optimisation and language flags every kernel is built with
+    ([-O2 -ftree-vectorize -std=c99 -ffp-contract=off]): vectorized, but
+    with no contraction and no fast-math, so each point is computed in
+    the interpreter's operation order.  The conformance C leg compiles
+    its driver with the same flags; kernels add [-fPIC -shared]. *)
+
 val cache_dir : unit -> string
 (** Kernel cache directory: {!set_cache_dir} override, else
     [POLYMG_NATIVE_CACHE], else [<tmpdir>/polymg-native-cache].
@@ -81,7 +88,10 @@ val run :
   unit
 (** Runs the kernel with the given input/output grids, keyed by func id
     like {!Exec.run}: output buffers are overwritten in place (interior
-    and ghost layers), inputs are never modified.  Buffer lengths are
+    and ghost layers), inputs are never modified.  The pipeline computes
+    straight into each output buffer; an output that is physically the
+    same buffer as an input is computed in the kernel's arena and copied
+    out after the call instead.  Buffer lengths are
     validated against the plan the kernel was compiled from.
     @raise Invalid_argument on a missing grid or a length mismatch.
     @raise Failure when the kernel reports an arena failure. *)

@@ -323,8 +323,8 @@ let c_equivalence ?(budget = default_budgets.vs_c) (plan : Plan.t) =
           output_string oc source;
           close_out oc;
           let compile =
-            Printf.sprintf "%s -O2 -std=c99 -ffp-contract=off -o %s %s -lm > %s 2>&1"
-              cc (Filename.quote exe) (Filename.quote src) (Filename.quote log)
+            Printf.sprintf "%s %s -o %s %s -lm > %s 2>&1" cc Native.opt_cflags
+              (Filename.quote exe) (Filename.quote src) (Filename.quote log)
           in
           if Sys.command compile <> 0 then
             C_fail

@@ -5,8 +5,12 @@ type t = {
 
 (* STREAM triad a[i] = b[i] + s*c[i]; bandwidth counts the canonical
    3 × 8 bytes per element (write-allocate traffic is not charged, per
-   STREAM convention). *)
-let triad_pass a b c n =
+   STREAM convention).  The element type is pinned: a polymorphic
+   Bigarray access compiles to a C call with a boxed float per element,
+   which measures the allocator instead of the memory system. *)
+type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let triad_pass (a : vec) (b : vec) (c : vec) n =
   let s = 3.0 in
   for i = 0 to n - 1 do
     Bigarray.Array1.unsafe_set a i

@@ -93,6 +93,32 @@ let test_emitted_c_runs () =
         (2, Cycle.V, (10, 0, 0), Options.dtile_opt_plus, 32);
         (2, Cycle.V, (2, 2, 2), Options.naive, 32) ]
 
+let count_occurrences s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i acc =
+    if i + m > n then acc
+    else go (i + 1) (if String.sub s i m = sub then acc + 1 else acc)
+  in
+  go 0 0
+
+(* every stage group is its own static C function, called in order by
+   the pipeline entry *)
+let test_one_function_per_group () =
+  List.iter
+    (fun opts ->
+      let plan = plan_of ~opts vcfg in
+      let s = C_emit.to_string plan in
+      let groups = Array.length plan.Plan.groups in
+      Alcotest.(check int)
+        (Options.name opts ^ ": static void group functions")
+        groups
+        (count_occurrences s "\nstatic void group_");
+      Alcotest.(check int)
+        (Options.name opts ^ ": group calls in the pipeline")
+        groups
+        (count_occurrences s "\n  group_"))
+    [ Options.naive; Options.opt_plus; Options.dtile_opt_plus ]
+
 let test_parity_cases_emitted () =
   let s = C_emit.to_string (plan_of vcfg) in
   check_bool "parity comment" true (contains s "parity case")
@@ -107,5 +133,7 @@ let () =
           Alcotest.test_case "line counts" `Quick test_line_counts_ordering;
           Alcotest.test_case "all benchmarks emit" `Quick test_emit_all_benchmarks;
           Alcotest.test_case "parity cases" `Quick test_parity_cases_emitted;
+          Alcotest.test_case "one function per group" `Quick
+            test_one_function_per_group;
           Alcotest.test_case "compile and run vs engine" `Quick
             test_emitted_c_runs ] ) ]

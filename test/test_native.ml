@@ -79,6 +79,13 @@ let run_both plan kernel ~n =
     ~outputs:[ (out_id, out_n) ];
   Grid.max_abs_diff out_i out_n
 
+(* Pipeline_gen.run_plan's input, built here for the native side. *)
+let gen_input ~n =
+  let input = Grid.interior ~dims:2 (n - 1) in
+  Grid.fill_interior input ~f:(fun idx ->
+      sin (float_of_int ((idx.(0) * 7) + (idx.(1) * 3)) /. 5.0));
+  input
+
 let load_exn plan =
   match Native.load plan with
   | Ok k -> k
@@ -96,6 +103,108 @@ let test_matches_interp =
         true (d < budget);
       check_bool "kernel calls counted" true
         (Telemetry.value c_kernel_calls >= 1))
+
+(* -- in-place output: every cell written, bit for bit ------------------ *)
+
+(* Index of the first cell whose bits differ, ghost cells included.
+   The interpreter starts every sum at the constant term, the C only
+   when it is nonzero, so a zero may differ in sign (0 + -0 = +0); any
+   other difference, NaN included, counts. *)
+let first_bit_diff (a : Grid.t) (b : Grid.t) =
+  let len = Repro_grid.Buf.len a.Grid.buf in
+  let rec go i =
+    if i = len then None
+    else
+      let x = Repro_grid.Buf.get a.Grid.buf i
+      and y = Repro_grid.Buf.get b.Grid.buf i in
+      if Int64.bits_of_float x = Int64.bits_of_float y || (x = 0. && y = 0.)
+      then go (i + 1)
+      else Some i
+  in
+  go 0
+
+(* One cycle of [plan] on a random problem through the interpreter and
+   through the kernel.  The plan runs without the interpreter's walk
+   kernels, which factor symmetric stencils (c0·x + c·(x1 + … + x4))
+   and so round differently; the remaining kernels sum the terms in the
+   emitted C's order, so the two backends must agree bit for bit.  The
+   native output starts as all-NaN, so a cell the kernel computes into
+   the caller's buffer but never writes shows up; with [~alias] the
+   output is the [v] input grid itself, which the kernel must not
+   overwrite while it still reads it. *)
+let check_bit_exact ?(alias = false) ~what ~dims ~n plan =
+  let pipeline = plan.Plan.pipeline in
+  let vin = Cycle.input_v pipeline in
+  let fin = Cycle.input_f pipeline in
+  let out_id = Cycle.output pipeline in
+  let problem = Problem.poisson_random ~dims ~n ~seed:11 in
+  let v = problem.Problem.v and f = problem.Problem.f in
+  let expected = Grid.create (Grid.extents v) in
+  Exec.with_runtime (fun rt ->
+      Exec.run plan rt ~inputs:[ (vin, v); (fin, f) ]
+        ~outputs:[ (out_id, expected) ]);
+  let v_n = Grid.copy v in
+  let out =
+    if alias then v_n
+    else begin
+      let g = Grid.create (Grid.extents v) in
+      Grid.fill g Float.nan;
+      g
+    end
+  in
+  Native.run (load_exn plan) ~inputs:[ (vin, v_n); (fin, f) ]
+    ~outputs:[ (out_id, out) ];
+  match first_bit_diff expected out with
+  | None -> ()
+  | Some i ->
+    Alcotest.failf "%s: cell %d differs: interpreter %h, native %h" what i
+      (Repro_grid.Buf.get expected.Grid.buf i)
+      (Repro_grid.Buf.get out.Grid.buf i)
+
+let test_inplace_bit_exact =
+  with_native_env ~tag:"inplace" (fun ~compiler:_ ~dir:_ ->
+      (* n = 96: the 32-row tiles do not divide the 95-point interior,
+         so the last tile row is truncated *)
+      List.iter
+        (fun (dims, n, opts) ->
+          let cfg = Cycle.default ~dims ~shape:Cycle.V ~smoothing:(4, 4, 4) in
+          let plan =
+            Solver.polymg_plan cfg ~n
+              ~opts:{ opts with Options.walk_kernels = false }
+          in
+          check_bit_exact ~dims ~n plan
+            ~what:(Printf.sprintf "%dD n=%d %s" dims n (Options.name opts)))
+        [ (2, 96, Options.opt_plus); (2, 96, Options.naive);
+          (3, 24, Options.opt_plus) ])
+
+let test_output_aliases_input =
+  with_native_env ~tag:"alias" (fun ~compiler:_ ~dir:_ ->
+      let n = 96 in
+      let opts = { Options.opt_plus with Options.walk_kernels = false } in
+      (* a V-cycle reads v only in its first groups, long before its
+         output is written ... *)
+      check_bit_exact ~alias:true ~dims:2 ~n (cycle_plan ~n ~opts ())
+        ~what:"V-cycle, out == v";
+      (* ... while a lone stencil writes its output tile by tile as the
+         next tiles still read the input: only the arena path keeps the
+         result right *)
+      let built =
+        Pipeline_gen.gen_pipeline_of
+          [ Pipeline_gen.G_stencil
+              (0, [| 0.5; 0.1; 0.2; -0.1; 0.25; 0.3; 0.05; 0.15; -0.3 |], 1.0)
+          ]
+      in
+      let _, in_id, out_id = built in
+      let plan = Pipeline_gen.build_plan built ~opts ~n in
+      let expected = Pipeline_gen.run_plan built plan ~n in
+      let g = gen_input ~n in
+      Native.run (load_exn plan) ~inputs:[ (in_id, g) ] ~outputs:[ (out_id, g) ];
+      match first_bit_diff expected g with
+      | None -> ()
+      | Some i ->
+        Alcotest.failf "stencil, out == in: cell %d differs: %h vs %h" i
+          (Repro_grid.Buf.get expected.Grid.buf i)
+          (Repro_grid.Buf.get g.Grid.buf i))
 
 (* -- cache-key determinism: one compile, then memory and disk hits ----- *)
 
@@ -133,9 +242,7 @@ let native_vs_interp built plan kernel ~n =
   let (p, in_id, out_id) = built in
   let f = Repro_ir.Pipeline.func p out_id in
   let out_n = Repro_ir.Sizeexpr.eval ~n f.Repro_ir.Func.sizes.(0) in
-  let input = Grid.interior ~dims:2 (n - 1) in
-  Grid.fill_interior input ~f:(fun idx ->
-      sin (float_of_int ((idx.(0) * 7) + (idx.(1) * 3)) /. 5.0));
+  let input = gen_input ~n in
   let reference = Pipeline_gen.run_plan built plan ~n in
   let out = Grid.interior ~dims:2 out_n in
   Native.run kernel ~inputs:[ (in_id, input) ] ~outputs:[ (out_id, out) ];
@@ -289,6 +396,10 @@ let () =
   Alcotest.run "native"
     [ ( "backend",
         [ Alcotest.test_case "matches interpreter" `Quick test_matches_interp;
+          Alcotest.test_case "in-place output bit-exact" `Quick
+            test_inplace_bit_exact;
+          Alcotest.test_case "output aliasing an input" `Quick
+            test_output_aliases_input;
           Alcotest.test_case "cache determinism" `Quick
             test_cache_determinism;
           Alcotest.test_case "weights distinguish kernels" `Quick

@@ -232,6 +232,18 @@ let prop_pool_serves_cycles =
       done;
       (Mempool.stats p).Mempool.fresh_allocs = buffers)
 
+(* The triad probe must stream unboxed floats: an element access that
+   goes through a polymorphic Bigarray call allocates a boxed float per
+   element (millions of minor words for a 4 MiB working set), and the
+   probe then measures the allocator, not memory bandwidth. *)
+let test_roofline_triad_unboxed () =
+  let before = Gc.minor_words () in
+  ignore (Roofline.measure ~mib:4 ~reps:1 ());
+  let words = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "measure allocates < 10k minor words (got %.0f)" words)
+    true (words < 10_000.)
+
 let () =
   Alcotest.run "runtime"
     [ ( "parallel",
@@ -263,5 +275,8 @@ let () =
             test_with_buf_releases_on_exception;
           Alcotest.test_case "plain pool unpoisoned" `Quick
             test_plain_pool_unpoisoned ] );
+      ( "roofline",
+        [ Alcotest.test_case "triad streams unboxed floats" `Quick
+            test_roofline_triad_unboxed ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_pool_serves_cycles ] ) ]
